@@ -101,7 +101,7 @@ def _replay_round(work, traces, mode="batched"):
     seconds = 0.0
     results = []
     for (db, _qid, _buffer), trace in zip(work, traces):
-        db.replay_mode = mode  # reset_timing rebuilds the machine from this
+        db.replay_mode = mode  # reset_timing copies this onto the machine
         db.reset_timing()
         start = time.perf_counter()
         results.append(db.machine.run(trace))
@@ -153,8 +153,6 @@ def _template_serving(systems, qids, scale, warmup_rounds=2,
     for system_name in systems:
         memory = build_system(system_name, **(sched_kwargs or {}))
         db = build_benchmark_database(memory, scale=scale)
-        db.replay_mode = "kernel"
-        db.reset_timing()
         db.enable_template_cache()
         stats = db.template_cache.stats
         for round_index in range(warmup_rounds + measured_rounds):

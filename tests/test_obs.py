@@ -244,11 +244,16 @@ class TestInstrumentDeclarations:
                             {"system": "RC-NVM", "channel": 0})
         assert hist.value == stats.latency_hist.count
         assert hist.percentile(50) == stats.latency_p50
-        # reset_timing() replaces the stats objects wholesale; the
-        # registry must keep reading the live ones.
+        # reset_timing() keeps the cache stack, clears its sets in place
+        # and starts fresh stats blocks; the registry must keep reading
+        # the live ones.
+        hierarchy = db.hierarchy
         db.reset_timing()
         assert reads.value == 0
         assert l1.value == 0
+        assert db.hierarchy is hierarchy
+        db.execute("SELECT SUM(f2) FROM t WHERE f1 > x", params={"x": 10})
+        assert l1.value == db.hierarchy.levels[0].stats.misses > 0
         assert outcome.timing.cycles > 0  # outcome itself is unaffected
 
 

@@ -70,14 +70,22 @@ def test_kernel_replay_is_bit_for_bit(system_name):
 
 
 def _simulator_state(db):
-    """Everything a replay leaves behind: cache contents in LRU order,
-    per-level stats, synonym counters, controller stats and bank state."""
+    """Everything a replay leaves behind: cache contents in LRU order
+    with line flags, per-level stats, synonym counters, pending
+    writebacks, controller stats and bank state."""
     hierarchy = db.machine.hierarchy
     state = []
     for level in hierarchy.levels:
         state.append(level.stats.snapshot())
-        state.append([list(cache_set.keys()) for cache_set in level.sets])
+        state.append([
+            [(key, line.dirty, line.pinned, line.crossing)
+             for key, line in cache_set.items()]
+            for cache_set in level.sets
+        ])
     state.append(list(hierarchy._counts))
+    state.append(list(hierarchy.pending_writebacks))
+    if hierarchy.synonym is not None:
+        state.append(hierarchy.synonym.stats.snapshot())
     for ctrl in db.memory.controllers:
         state.append(ctrl.stats.snapshot())
         state.append(ctrl.bus_free)
