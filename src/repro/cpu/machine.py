@@ -16,6 +16,14 @@ Latency accounting:
   core does not wait for them;
 * synonym bookkeeping cycles (Section 4.3) are added to the core's clock
   and tallied separately so Figure 21's overhead ratio can be computed.
+
+Replay: :meth:`Machine.run` finalizes every trace into structure-of-arrays
+form (:func:`prepare_trace` converts plain ``Access`` iterables at the
+boundary) and replays it with the whole-trace kernel
+(:mod:`repro.cpu.replaykernel`) when the kernel can reproduce it, else
+with the batched per-line loop.  :func:`prepare_trace`,
+:func:`post_writeback` and :func:`replay_result` are shared with the
+multi-core model and the kernel.
 """
 
 from collections import deque
@@ -24,34 +32,33 @@ from dataclasses import dataclass, field
 from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
 from repro.cache.hierarchy import MISS, CacheHierarchy
-from repro.cache.line import key_address, key_orientation, line_key_from_index
-from repro.cpu.trace import Op
+from repro.cache.line import key_address, key_orientation
+from repro.cpu.replaykernel import kernel_ineligibility, run_kernel
 from repro.cpu.tracebuffer import (
     LINE_BARRIER,
     LINE_GATHER,
     LINE_PIN,
     LINE_UNPIN,
     LINE_WRITE,
+    ORIENT_OBJS,
     FinalizedTrace,
     TraceBuffer,
 )
-from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
 from repro.obs import tracer as obs
 
-_ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
-
-#: Replay engine selection for :class:`Machine` (and the ``Database``
-#: that owns one).  All three produce bit-for-bit identical results on
-#: any trace (``tests/test_replay_equivalence.py``):
+#: Replay engine selection for :class:`Machine`.  Both produce
+#: bit-for-bit identical results on any trace
+#: (``tests/test_replay_equivalence.py`` checks them against the
+#: per-access reference replay in ``tests/reference_replay.py``):
 #:
-#: * ``precise`` — one Python ``Access`` at a time; the oracle.
-#: * ``batched`` — per-line loop over finalized SoA arrays (PR 2).
-#: * ``kernel`` — whole-trace flat-integer replay
+#: * ``kernel`` (the default) — whole-trace flat-integer replay
 #:   (:mod:`repro.cpu.replaykernel`) for eligible traces, falling back
-#:   to ``batched`` otherwise.
-REPLAY_MODES = ("precise", "batched", "kernel")
+#:   to ``batched`` otherwise;
+#: * ``batched`` — per-line loop over finalized SoA arrays; the shipped
+#:   fallback, selectable so it can be timed and checked on its own.
+REPLAY_MODES = ("batched", "kernel")
 
 
 @dataclass
@@ -93,22 +100,89 @@ class RunResult:
         return self.llc_misses + self.writebacks
 
 
+def prepare_trace(trace, memory):
+    """The :class:`FinalizedTrace` both machine models replay.
+
+    A :class:`TraceBuffer` is finalized, a :class:`FinalizedTrace` passes
+    through, and any other iterable of :class:`~repro.cpu.trace.Access`
+    is first copied into a ``TraceBuffer``.  Raises
+    :class:`CapabilityError` if the trace needs column or gathered
+    accesses ``memory`` lacks: a per-access replay raises on the first
+    such line to miss, and on the fresh caches of a run such a line
+    always misses (its fill sits behind this very check), so checking
+    the whole trace up front is equivalent.
+    """
+    if not isinstance(trace, FinalizedTrace):
+        if not isinstance(trace, TraceBuffer):
+            buffer = TraceBuffer()
+            buffer.extend(trace)
+            trace = buffer
+        trace = trace.finalize()
+    if trace.has_column and not memory.supports_column:
+        raise CapabilityError(f"{memory.name} does not support column accesses")
+    if trace.has_gather and not memory.supports_gather:
+        raise CapabilityError(f"{memory.name} does not support gathered accesses")
+    return trace
+
+
+def post_writeback(memory, key, now, stream=0):
+    """Post a dirty-victim write of line ``key`` to memory (the core does
+    not block).
+
+    Returns the posted request, or ``None`` for gather lines (which are
+    read-only snapshots of row data and never written back)."""
+    orientation = key_orientation(key)
+    if orientation is Orientation.GATHER:
+        return None
+    return memory.request_for_line(
+        key_address(key), orientation, True, now, stream=stream
+    )
+
+
+def replay_result(machine, fin, drain, **counters):
+    """The :class:`RunResult` of a finished replay of ``fin``.
+
+    ``counters`` are the replay's own tallies (cycles, hit levels,
+    misses, writebacks, synonym cycles); the trace-static counts come
+    from ``fin``.  ``drain()`` retires posted writes, under a
+    ``controller.drain`` span, and returns the cycle the last one
+    finished; the statistics snapshots are taken after it."""
+    memory, hierarchy = machine.memory, machine.hierarchy
+    with obs.span("controller.drain") as dsp:
+        drained_at = drain()
+        if dsp.enabled:
+            dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
+    return RunResult(
+        accesses=fin.n_accesses,
+        reads=fin.n_reads,
+        writes=fin.n_writes,
+        lines_touched=fin.n_lines,
+        memory=memory.stats.snapshot(),
+        caches=hierarchy.stats_by_level(),
+        synonym=(
+            hierarchy.synonym.stats.snapshot()
+            if hierarchy.synonym is not None else {}
+        ),
+        **counters,
+    )
+
+
 class Machine:
     """One core in front of a cache hierarchy and a memory system."""
 
-    def __init__(self, memory: MemorySystem, hierarchy: CacheHierarchy, window=8,
-                 replay_mode="batched"):
+    def __init__(self, memory: MemorySystem, hierarchy: CacheHierarchy, window=8):
         self.memory = memory
         self.hierarchy = hierarchy
         self.window = window
-        self.replay_mode = replay_mode
+        self.replay_mode = "kernel"
         self._hit_costs = [0] + [level.hit_latency for level in hierarchy.levels[1:]]
         self._llc_latency = hierarchy.llc.hit_latency
 
     @property
     def replay_mode(self):
         """Replay engine, one of :data:`REPLAY_MODES` (checked on every
-        assignment, not only at construction)."""
+        assignment).  ``Database.reset_timing`` leaves it alone, so a
+        mode set on ``db.machine`` holds across statements."""
         return self._replay_mode
 
     @replay_mode.setter
@@ -123,15 +197,13 @@ class Machine:
     def run(self, trace, stream=None) -> RunResult:
         """Execute a trace.
 
-        A :class:`~repro.cpu.tracebuffer.TraceBuffer` (or an
-        already-finalized :class:`~repro.cpu.tracebuffer.FinalizedTrace`)
-        takes the batched fast path over its per-line arrays; any other
-        iterable of :class:`~repro.cpu.trace.Access` takes the precise
-        per-access path.  All paths produce bit-for-bit identical
-        :class:`RunResult`s — the fast paths replay the same per-line
-        decisions in the same order, they just precompute everything that
-        does not depend on cache or controller state (see
-        ``tests/test_replay_equivalence``).
+        ``trace`` is a :class:`~repro.cpu.tracebuffer.TraceBuffer`, an
+        already-finalized :class:`~repro.cpu.tracebuffer.FinalizedTrace`,
+        or any iterable of :class:`~repro.cpu.trace.Access`, which is
+        converted at this boundary (:func:`prepare_trace`).  The kernel
+        replays it when eligible, otherwise the batched per-line loop
+        does; both produce bit-for-bit identical :class:`RunResult`\\ s
+        (``tests/test_replay_equivalence``).
 
         ``stream`` overrides the trace's tenant stream tag for this run
         (cached template traces are shared between tenants, so the tag
@@ -146,21 +218,16 @@ class Machine:
         if stream is None:
             stream = getattr(trace, "stream", 0)
         with obs.span("machine.run") as sp:
-            if self.replay_mode != "precise" and isinstance(
-                trace, (TraceBuffer, FinalizedTrace)
-            ):
-                fin = (
-                    trace.finalize() if isinstance(trace, TraceBuffer) else trace
-                )
-                if self.replay_mode == "kernel":
-                    result, fallback = self._run_kernel(fin, stream)
-                    replay = "batched" if fallback else "kernel"
-                else:
-                    result, fallback = self._run_batched(fin, stream), None
-                    replay = "batched"
+            fin = prepare_trace(trace, self.memory)
+            fallback = None
+            use_kernel = self.replay_mode == "kernel"
+            if use_kernel:
+                fallback = kernel_ineligibility(self, fin, stream)
+                use_kernel = fallback is None
+            if use_kernel:
+                result, replay = run_kernel(self, fin), "kernel"
             else:
-                result, fallback = self._run_precise(trace, stream), None
-                replay = "precise"
+                result, replay = self._run_batched(fin, stream), "batched"
             if sp.enabled:
                 mem = result.memory
                 sp.set(
@@ -181,103 +248,6 @@ class Machine:
                 )
             return result
 
-    def _run_kernel(self, fin, stream=0):
-        """Replay via the flat-integer whole-trace kernel when the trace
-        and current simulator state admit it; otherwise fall back to the
-        batched per-line loop (same result either way — the kernel's
-        eligibility test is exactly the set of cases it can reproduce
-        bit for bit; see :mod:`repro.cpu.replaykernel`).  Returns
-        ``(result, fallback_reason)``, the reason None when the kernel
-        ran."""
-        from repro.cpu.replaykernel import kernel_ineligibility, run_kernel
-
-        if fin.has_column and not self.memory.supports_column:
-            raise CapabilityError(
-                f"{self.memory.name} does not support column accesses"
-            )
-        if fin.has_gather and not self.memory.supports_gather:
-            raise CapabilityError(
-                f"{self.memory.name} does not support gathered accesses"
-            )
-        reason = kernel_ineligibility(self, fin, stream)
-        if reason is None:
-            return run_kernel(self, fin), None
-        return self._run_batched(fin, stream), reason
-
-    def _run_precise(self, trace, stream=0) -> RunResult:
-        result = RunResult()
-        hierarchy = self.hierarchy
-        memory = self.memory
-        outstanding = deque()
-        now = 0
-
-        for access in trace:
-            now += access.gap
-            op = access.op
-            if op == Op.UNPIN:
-                self._unpin_range(access)
-                continue
-            if access.barrier and outstanding:
-                while outstanding:
-                    now = max(now, memory.completion_of(outstanding.popleft()))
-            result.accesses += 1
-            if access.is_write:
-                result.writes += 1
-            else:
-                result.reads += 1
-
-            orientation = access.orientation
-            first_line = access.address // CACHE_LINE_BYTES
-            last_line = (access.address + access.size - 1) // CACHE_LINE_BYTES
-            for line_index in range(first_line, last_line + 1):
-                key = line_key_from_index(line_index, orientation)
-                result.lines_touched += 1
-                word_mask = (
-                    self._word_mask(access, line_index) if access.is_write else 0xFF
-                )
-                level, extra = hierarchy.lookup(key, access.is_write, word_mask)
-                if extra:
-                    now += extra
-                    result.synonym_cycles += extra
-                if level != MISS:
-                    now += self._hit_costs[level]
-                    if level == 0:
-                        result.l1_hits += 1
-                    elif level == 1:
-                        result.l2_hits += 1
-                    else:
-                        result.l3_hits += 1
-                    if access.pin:
-                        hierarchy.pin(key)
-                    continue
-                # -- LLC miss: fetch the line from main memory.
-                result.llc_misses += 1
-                req = self._line_request(key, access, now + self._llc_latency, stream)
-                outstanding.append(req)
-                if len(outstanding) > self.window:
-                    now = max(now, memory.completion_of(outstanding.popleft()))
-                extra = hierarchy.fill(key, access.is_write, access.pin, word_mask)
-                if extra:
-                    now += extra
-                    result.synonym_cycles += extra
-                for victim_key in hierarchy.drain_writebacks():
-                    result.writebacks += 1
-                    self._writeback(victim_key, now, stream)
-
-        while outstanding:
-            now = max(now, memory.completion_of(outstanding.popleft()))
-        result.cycles = now
-        # Retire posted writes so statistics are complete.
-        with obs.span("controller.drain") as dsp:
-            drained_at = memory.drain()
-            if dsp.enabled:
-                dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
-        result.memory = memory.stats.snapshot()
-        result.caches = hierarchy.stats_by_level()
-        if hierarchy.synonym is not None:
-            result.synonym = hierarchy.synonym.stats.snapshot()
-        return result
-
     def _run_batched(self, fin, stream=0) -> RunResult:
         """Replay a finalized structure-of-arrays trace.
 
@@ -285,8 +255,8 @@ class Machine:
         splitting, key packing, write word masks, address decode — was
         done vectorized at :meth:`TraceBuffer.finalize` time, so this
         loop only advances the stateful parts (caches, controllers, the
-        core clock) and is careful to do so in exactly the order of
-        :meth:`_run_precise`:
+        core clock) and is careful to do so in exactly the order of a
+        per-access replay (``tests/reference_replay.py``):
 
         * plain read lines (no write/pin/barrier/gather/unpin bits) take
           an inlined L1 probe; a line whose key equals the immediately
@@ -295,28 +265,17 @@ class Machine:
         * L1 hit/miss statistics from the inlined probe are accumulated
           locally and flushed into ``l1.stats`` before the snapshot;
         * LLC misses build their :class:`MemRequest` directly from the
-          precomputed decode columns — the same values the precise
-          path's scalar ``mapper.decode`` produces;
+          precomputed decode columns — the same values a scalar
+          ``mapper.decode`` produces;
         * everything else (writes, pins, barriers, gathers, unpins)
-          funnels through the same hierarchy calls the precise path
+          funnels through the same hierarchy calls a per-access replay
           makes.
         """
-        result = RunResult()
         hierarchy = self.hierarchy
         memory = self.memory
         window = self.window
         llc_latency = self._llc_latency
         hit_costs = self._hit_costs
-
-        # The precise path raises on the first column/gather line to
-        # miss; on the fresh caches of a run such a line always misses
-        # (it can never have been filled — the fill sits behind this
-        # very check), so checking the whole trace up front is
-        # equivalent.
-        if fin.has_column and not memory.supports_column:
-            raise CapabilityError(f"{memory.name} does not support column accesses")
-        if fin.has_gather and not memory.supports_gather:
-            raise CapabilityError(f"{memory.name} does not support gathered accesses")
 
         lkeys, lgaps, lspecials, lmasks, laccs, lorients = fin.replay_lists()
         dch, drk, dbk, dsa, drow, dcol = fin.decoded_for(memory.mapper)
@@ -380,7 +339,7 @@ class Machine:
                 channel = dch[i]
                 req = MemRequest(
                     channel, drk[i], dbk[i], dsa[i], drow[i], dcol[i],
-                    _ORIENT_OBJS[lorients[i]], False, now + llc_latency,
+                    ORIENT_OBJS[lorients[i]], False, now + llc_latency,
                     stream,
                 )
                 controllers[channel].submit(req)
@@ -397,7 +356,7 @@ class Machine:
                 if hierarchy.pending_writebacks:
                     for victim_key in hierarchy.drain_writebacks():
                         writebacks += 1
-                        self._writeback(victim_key, now, stream)
+                        post_writeback(memory, victim_key, now, stream)
                 continue
             # -- special lines: unpins, barriers, writes, pins, gathers.
             if special & LINE_UNPIN:
@@ -439,7 +398,7 @@ class Machine:
                 channel = dch[i]
                 req = MemRequest(
                     channel, drk[i], dbk[i], dsa[i], drow[i], dcol[i],
-                    _ORIENT_OBJS[lorients[i]], is_write, now + llc_latency,
+                    ORIENT_OBJS[lorients[i]], is_write, now + llc_latency,
                     stream,
                 )
                 controllers[channel].submit(req)
@@ -455,7 +414,7 @@ class Machine:
             if hierarchy.pending_writebacks:
                 for victim_key in hierarchy.drain_writebacks():
                     writebacks += 1
-                    self._writeback(victim_key, now, stream)
+                    post_writeback(memory, victim_key, now, stream)
 
         while outstanding:
             done = completion_of(outstanding_popleft())
@@ -463,43 +422,14 @@ class Machine:
                 now = done
         l1.stats.hits += c_l1_hits
         l1.stats.misses += c_l1_misses
-        result.cycles = now
-        result.accesses = fin.n_accesses
-        result.reads = fin.n_reads
-        result.writes = fin.n_writes
-        result.lines_touched = fin.n_lines
-        result.l1_hits = r_l1
-        result.l2_hits = r_l2
-        result.l3_hits = r_l3
-        result.llc_misses = llc_misses
-        result.writebacks = writebacks
-        result.synonym_cycles = synonym_cycles
         # Retire posted writes so statistics are complete.
-        with obs.span("controller.drain") as dsp:
-            drained_at = memory.drain()
-            if dsp.enabled:
-                dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
-        result.memory = memory.stats.snapshot()
-        result.caches = hierarchy.stats_by_level()
-        if hierarchy.synonym is not None:
-            result.synonym = hierarchy.synonym.stats.snapshot()
-        return result
-
-    # -- helpers ----------------------------------------------------------------
-    def _line_request(self, key, access, arrival, stream=0):
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            if access.coord is None:
-                raise CapabilityError("gather access requires a device coordinate")
-            return self.memory.request_for_coord(
-                access.coord, Orientation.GATHER, access.is_write, arrival,
-                stream=stream,
-            )
-        return self.memory.request_for_line(
-            key_address(key), orientation, access.is_write, arrival,
-            stream=stream,
+        return replay_result(
+            self, fin, memory.drain, cycles=now, l1_hits=r_l1, l2_hits=r_l2,
+            l3_hits=r_l3, llc_misses=llc_misses, writebacks=writebacks,
+            synonym_cycles=synonym_cycles,
         )
 
+    # -- helpers ----------------------------------------------------------------
     def flush_caches(self, now=0, on_line=None):
         """Write every dirty cached line back to memory and drain it.
 
@@ -513,43 +443,10 @@ class Machine:
         dirty = self.hierarchy.flush()
         flushed = 0
         for key in dirty:
-            if self._writeback(key, now) is not None:
+            if post_writeback(self.memory, key, now) is not None:
                 flushed += 1
                 if on_line is not None:
                     on_line(flushed)
         self.memory.drain()
         self.memory.flush_buffers()
         return flushed
-
-    def _writeback(self, key, now, stream=0):
-        """Post a dirty-victim write to memory (the core does not block).
-
-        Returns the posted request, or ``None`` for gather lines (which
-        are read-only snapshots of row data and never written back)."""
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            return None
-        return self.memory.request_for_line(
-            key_address(key), orientation, True, now, stream=stream
-        )
-
-    def _unpin_range(self, access):
-        first_line = access.address // CACHE_LINE_BYTES
-        last_line = (access.address + access.size - 1) // CACHE_LINE_BYTES
-        orientation = access.orientation
-        for line_index in range(first_line, last_line + 1):
-            self.hierarchy.unpin(line_key_from_index(line_index, orientation))
-
-    @staticmethod
-    def _word_mask(access, line_index):
-        """Bitmask of the 8-byte words of line ``line_index`` covered by
-        ``access`` (used for crossing-bit write updates)."""
-        line_start = line_index * CACHE_LINE_BYTES
-        start = max(access.address, line_start)
-        end = min(access.address + access.size, line_start + CACHE_LINE_BYTES)
-        first_word = (start - line_start) // WORD_BYTES
-        last_word = (end - 1 - line_start) // WORD_BYTES
-        mask = 0
-        for word in range(first_word, last_word + 1):
-            mask |= 1 << word
-        return mask

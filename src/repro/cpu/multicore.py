@@ -15,17 +15,15 @@ from typing import List
 
 from repro.cache.cache import Cache
 from repro.cache.coherence import MesiDirectory
-from repro.cache.line import key_address, key_orientation, line_key_from_index
 from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
+from repro.cpu.machine import post_writeback, prepare_trace
 from repro.cpu.trace import Op
-from repro.cpu.tracebuffer import FLAG_BARRIER, FLAG_PIN, TraceBuffer
-from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
+from repro.cpu.tracebuffer import FLAG_BARRIER, FLAG_PIN, ORIENT_OBJS
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
 
-_ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
 _OP_WRITE = int(Op.WRITE)
 _OP_CWRITE = int(Op.CWRITE)
 _OP_GATHER = int(Op.GATHER)
@@ -104,24 +102,10 @@ class MulticoreMachine:
         l1_latency=4,
         llc_latency=38,
         window=8,
-        replay_mode="batched",
     ):
-        # The multicore model interleaves cores one access at a time (the
-        # heap picks the laggard core each step), so the whole-trace
-        # "kernel" mode has no separate implementation here: it means the
-        # same SoA-cursor stepping "batched" uses.  The parameter is
-        # accepted and validated so callers can thread one knob through
-        # both machine models; only "precise" changes behaviour.
-        from repro.cpu.machine import REPLAY_MODES
-
-        if replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"unknown replay mode {replay_mode!r}; expected one of {REPLAY_MODES}"
-            )
         self.memory = memory
         self.n_cores = n_cores
         self.window = window
-        self.replay_mode = replay_mode
         self.llc_latency = llc_latency
         privates = [
             Cache(f"L1-{core}", l1_kib * 1024, ways, l1_latency)
@@ -134,11 +118,12 @@ class MulticoreMachine:
     def run(self, traces, streams=None) -> MulticoreResult:
         """Run one trace per core to completion.
 
-        Cores whose trace is a :class:`TraceBuffer` step over the
-        finalized per-line arrays (same decisions, precomputed line
-        keys/masks/decodes); any other iterable of ``Access`` objects
-        keeps the precise per-access path.  The heap interleaving is per
-        access either way, so mixing the two kinds is fine.
+        Each trace is anything :func:`repro.cpu.machine.prepare_trace`
+        accepts (a :class:`~repro.cpu.tracebuffer.TraceBuffer`, a
+        :class:`~repro.cpu.tracebuffer.FinalizedTrace` or an iterable of
+        ``Access`` objects); this is :meth:`run_segmented` with one
+        segment per core, so the cores interleave per access the same
+        way.  The result's ``segment_ends`` stays empty.
 
         ``streams`` optionally gives one tenant stream tag per trace
         (overriding each trace's own tag) so the controllers' fair-share
@@ -150,69 +135,11 @@ class MulticoreMachine:
             streams = [getattr(trace, "stream", 0) for trace in traces]
         elif len(streams) != len(traces):
             raise ValueError("streams must parallel traces")
-        memory = self.memory
-        cursors = []
-        iterators = []
-        soa = self.replay_mode != "precise"
-        for trace, stream in zip(traces, streams):
-            if soa and isinstance(trace, TraceBuffer):
-                fin = trace.finalize()
-                # Same errors the precise path raises on the first
-                # offending line to miss (which, with fill gated behind
-                # the request, it always reaches before caching one).
-                if fin.has_column and not memory.supports_column:
-                    raise CapabilityError(
-                        f"{memory.name} does not support column accesses"
-                    )
-                if fin.has_gather and not memory.supports_gather:
-                    raise CapabilityError(
-                        f"{memory.name} does not support gathered accesses"
-                    )
-                cursors.append(_SoaCursor(fin, memory.mapper, stream))
-                iterators.append(None)
-            else:
-                cursors.append(None)
-                iterators.append(iter(trace))
-        clocks = [0] * len(traces)
-        outstanding = [deque() for _ in traces]
-        results = [CoreResult() for _ in traces]
-        # Min-heap of (clock, core) — always step the core furthest behind.
-        active = [(0, core) for core in range(len(traces))]
-        heapq.heapify(active)
-        while active:
-            _clock, core = heapq.heappop(active)
-            cursor = cursors[core]
-            if cursor is not None:
-                position = cursor.pos
-                if position >= cursor.n:
-                    while outstanding[core]:
-                        clocks[core] = max(
-                            clocks[core],
-                            self.memory.completion_of(outstanding[core].popleft()),
-                        )
-                    results[core].cycles = clocks[core]
-                    continue
-                cursor.pos = position + 1
-                self._step_soa(core, cursor, position, clocks, outstanding, results)
-                heapq.heappush(active, (clocks[core], core))
-                continue
-            access = next(iterators[core], None)
-            if access is None:
-                while outstanding[core]:
-                    clocks[core] = max(
-                        clocks[core],
-                        self.memory.completion_of(outstanding[core].popleft()),
-                    )
-                results[core].cycles = clocks[core]
-                continue
-            self._step(core, access, clocks, outstanding, results, streams[core])
-            heapq.heappush(active, (clocks[core], core))
-        result = MulticoreResult(cores=results)
-        self.memory.drain()
-        result.coherence = self.directory.stats.snapshot()
-        if self.directory.synonym is not None:
-            result.synonym = self.directory.synonym.stats.snapshot()
-        result.memory = self.memory.stats.snapshot()
+        result = self.run_segmented([
+            [(trace, stream, core)]
+            for core, (trace, stream) in enumerate(zip(traces, streams))
+        ])
+        result.segment_ends.clear()
         return result
 
     def run_segmented(self, core_segments, on_segment=None,
@@ -221,11 +148,12 @@ class MulticoreMachine:
         segment's finish clock.
 
         ``core_segments`` is one list per core of ``(trace, stream,
-        token)`` tuples — ``trace`` a :class:`TraceBuffer` or
-        :class:`~repro.cpu.tracebuffer.FinalizedTrace`, ``stream`` the
+        token)`` tuples — ``trace`` anything
+        :func:`~repro.cpu.machine.prepare_trace` accepts, ``stream`` the
         tenant tag its requests carry, ``token`` an opaque caller
         identifier.  Cores step their current segment interleaved at
-        access granularity exactly like :meth:`run`; when a core's
+        access granularity, always stepping the core whose clock is
+        furthest behind; when a core's
         segment is exhausted its outstanding misses are drained, the
         finish clock is recorded under ``token`` in the result's
         ``segment_ends`` (and passed to ``on_segment(core, token,
@@ -271,18 +199,7 @@ class MulticoreMachine:
         def load_next(core):
             while queues[core]:
                 trace, stream, token = queues[core].pop()
-                fin = (
-                    trace.finalize()
-                    if isinstance(trace, TraceBuffer) else trace
-                )
-                if fin.has_column and not memory.supports_column:
-                    raise CapabilityError(
-                        f"{memory.name} does not support column accesses"
-                    )
-                if fin.has_gather and not memory.supports_gather:
-                    raise CapabilityError(
-                        f"{memory.name} does not support gathered accesses"
-                    )
+                fin = prepare_trace(trace, memory)
                 cursor = _SoaCursor(fin, memory.mapper, stream)
                 tokens[core] = token
                 if cursor.n == 0:
@@ -318,65 +235,10 @@ class MulticoreMachine:
         return result
 
     # -- one trace entry ----------------------------------------------------------
-    def _step(self, core, access, clocks, outstanding, results, stream=0):
-        clocks[core] += access.gap
-        op = access.op
-        if op == Op.UNPIN:
-            first = access.address // CACHE_LINE_BYTES
-            last = (access.address + access.size - 1) // CACHE_LINE_BYTES
-            for index in range(first, last + 1):
-                self.directory.llc.set_pinned(
-                    line_key_from_index(index, access.orientation), False
-                )
-            return
-        if access.barrier:
-            while outstanding[core]:
-                clocks[core] = max(
-                    clocks[core],
-                    self.memory.completion_of(outstanding[core].popleft()),
-                )
-        result = results[core]
-        result.accesses += 1
-        orientation = access.orientation
-        first = access.address // CACHE_LINE_BYTES
-        last = (access.address + access.size - 1) // CACHE_LINE_BYTES
-        for index in range(first, last + 1):
-            key = line_key_from_index(index, orientation)
-            if access.is_write:
-                hit, llc_hit, extra, writebacks = self.directory.write(
-                    core, key, self._word_mask(access, index)
-                )
-            else:
-                hit, llc_hit, extra, writebacks = self.directory.read(core, key)
-            clocks[core] += extra
-            result.coherence_cycles += extra
-            for victim_key in writebacks:
-                self._writeback(victim_key, clocks[core], stream)
-            if hit:
-                result.private_hits += 1
-                continue
-            if llc_hit:
-                result.llc_hits += 1
-                clocks[core] += self.llc_latency
-                if access.pin:
-                    self.directory.llc.set_pinned(key, True)
-                continue
-            result.misses += 1
-            req = self._line_request(
-                key, access, clocks[core] + self.llc_latency, stream
-            )
-            outstanding[core].append(req)
-            if len(outstanding[core]) > self.window:
-                clocks[core] = max(
-                    clocks[core],
-                    self.memory.completion_of(outstanding[core].popleft()),
-                )
-            if access.pin:
-                self.directory.llc.set_pinned(key, True)
-
     def _step_soa(self, core, cursor, position, clocks, outstanding, results):
-        """One finalized-trace access for one core — the array twin of
-        :meth:`_step`, making the same calls in the same order."""
+        """One finalized-trace access for one core: the same directory
+        and memory calls, in the same order, as the per-access reference
+        step in ``tests/reference_replay.py``."""
         clocks[core] += cursor.gaps[position]
         op = cursor.ops[position]
         start = cursor.starts[position]
@@ -412,7 +274,7 @@ class MulticoreMachine:
                 clocks[core] += extra
                 result.coherence_cycles += extra
             for victim_key in writebacks:
-                self._writeback(victim_key, clocks[core], cursor.stream)
+                post_writeback(self.memory, victim_key, clocks[core], cursor.stream)
             if hit:
                 result.private_hits += 1
                 continue
@@ -439,7 +301,7 @@ class MulticoreMachine:
                 req = MemRequest(
                     channel, cursor.drk[k], cursor.dbk[k], cursor.dsa[k],
                     cursor.drow[k], cursor.dcol[k],
-                    _ORIENT_OBJS[cursor.lorients[k]], is_write, arrival,
+                    ORIENT_OBJS[cursor.lorients[k]], is_write, arrival,
                     cursor.stream,
                 )
                 self.memory.controllers[channel].submit(req)
@@ -450,37 +312,3 @@ class MulticoreMachine:
                 )
             if pin:
                 directory.llc.set_pinned(key, True)
-
-    def _line_request(self, key, access, arrival, stream=0):
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            if access.coord is None:
-                raise CapabilityError("gather access requires a device coordinate")
-            return self.memory.request_for_coord(
-                access.coord, orientation, access.is_write, arrival,
-                stream=stream,
-            )
-        return self.memory.request_for_line(
-            key_address(key), orientation, access.is_write, arrival,
-            stream=stream,
-        )
-
-    def _writeback(self, key, now, stream=0):
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            return
-        self.memory.request_for_line(
-            key_address(key), orientation, True, now, stream=stream
-        )
-
-    @staticmethod
-    def _word_mask(access, line_index):
-        line_start = line_index * CACHE_LINE_BYTES
-        start = max(access.address, line_start)
-        end = min(access.address + access.size, line_start + CACHE_LINE_BYTES)
-        first_word = (start - line_start) // WORD_BYTES
-        last_word = (end - 1 - line_start) // WORD_BYTES
-        mask = 0
-        for word in range(first_word, last_word + 1):
-            mask |= 1 << word
-        return mask

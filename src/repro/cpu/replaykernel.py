@@ -38,7 +38,8 @@ failed condition) —
   GS-DRAM, whose tracker is ``None``).
 
 Everything else — updates, pinned group-caching windows, barriers,
-overflowing traces — falls back to ``Machine._run_batched`` untouched.
+overflowing traces — falls back untouched to ``Machine._run_batched``,
+the one other replay loop ``Machine.run`` ships.
 """
 
 import itertools
@@ -50,7 +51,6 @@ from repro.cache.stats import CacheStats
 from repro.core.addressing import Orientation
 from repro.cpu.tracebuffer import LINE_GATHER, LINE_WRITE
 from repro.memsim.stats import MemoryStats
-from repro.obs import tracer as obs
 
 _ROW_TAG = int(Orientation.ROW)
 _COL_TAG = int(Orientation.COLUMN)
@@ -293,7 +293,7 @@ def run_kernel(machine, fin):
     Caller must have checked :func:`kernel_eligible` (and the
     column/gather capability of the memory system) first.
     """
-    from repro.cpu.machine import RunResult
+    from repro.cpu.machine import replay_result
 
     memory = machine.memory
     hierarchy = machine.hierarchy
@@ -661,26 +661,10 @@ def run_kernel(machine, fin):
         hierarchy._counts[int(keys_l[0] >> SPACE_SHIFT)] = n_unique
 
     # -- result ---------------------------------------------------------------
-    result = RunResult()
-    result.cycles = now
-    result.accesses = fin.n_accesses
-    result.reads = fin.n_reads
-    result.writes = fin.n_writes
-    result.lines_touched = fin.n_lines
-    result.l1_hits = r_l1
-    result.l2_hits = r_l2
-    result.l3_hits = r_l3
-    result.llc_misses = n_unique
-    result.writebacks = 0
-    result.synonym_cycles = 0
-    with obs.span("controller.drain") as dsp:
-        # Everything was serviced in the loop; draining the real
-        # controllers is a no-op that reports the last bus time.
-        drained_at = max(bus_free)
-        if dsp.enabled:
-            dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
-    result.memory = memory.stats.snapshot()
-    result.caches = hierarchy.stats_by_level()
-    if hierarchy.synonym is not None:
-        result.synonym = hierarchy.synonym.stats.snapshot()
-    return result
+    # Everything was serviced in the loop; draining the real controllers
+    # is a no-op that reports the last bus time.
+    return replay_result(
+        machine, fin, lambda: max(bus_free), cycles=now, l1_hits=r_l1,
+        l2_hits=r_l2, l3_hits=r_l3, llc_misses=n_unique, writebacks=0,
+        synonym_cycles=0,
+    )

@@ -11,8 +11,9 @@ and the per-line word masks for writes (see :meth:`TraceBuffer.finalize`).
 
 ``TraceBuffer`` is a drop-in replacement for ``List[Access]`` on the
 producing side (``append`` accepts ``Access`` objects, iteration yields
-them back), while :meth:`repro.cpu.machine.Machine.run` recognizes the
-type and takes its batched fast path over the finalized arrays.
+them back).  The machine models replay only finalized arrays: they
+convert any other iterable of accesses into a ``TraceBuffer`` at their
+boundary (:func:`repro.cpu.machine.prepare_trace`).
 
 Flag bits, op codes and orientations are stored as small unsigned
 integers; gather coordinates (sparse — only GS-DRAM traces have them)
@@ -40,7 +41,8 @@ _WORD_SHIFT = WORD_BYTES.bit_length() - 1  # 3
 _SPACE_SHIFT = 58  # must match repro.cache.line.SPACE_SHIFT
 
 _IS_WRITE_OP = (False, True, False, True, False, False)  # indexed by Op
-_ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
+#: Orientation code (the ``_orient``/``line_orient`` column) -> Orientation.
+ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
 
 #: Default orientation per op, as small ints (mirror of _ORIENTATION_OF).
 _DEFAULT_ORIENT = tuple(int(_ORIENTATION_OF[Op(code)]) for code in range(len(Op)))
@@ -202,13 +204,13 @@ class TraceBuffer:
             size = int(self._size[index])
             gap = int(self._gap[index])
             flags = int(self._flags[index])
-            orient = _ORIENT_OBJS[self._orient[index]]
+            orient = ORIENT_OBJS[self._orient[index]]
         else:
             op_code, address, size, gap, flags, orient_code = self._pending[
                 index - self._n
             ]
             op = Op(op_code)
-            orient = _ORIENT_OBJS[orient_code]
+            orient = ORIENT_OBJS[orient_code]
         return Access(
             op,
             address,
@@ -409,7 +411,7 @@ class FinalizedTrace:
         NumPy arrays: ``(channel, rank, bank, subarray, row, col)``.
 
         This is the batched counterpart of the scalar
-        ``AddressMapper.decode`` call the precise path performs per LLC
+        ``AddressMapper.decode`` call a per-access replay performs per LLC
         miss; gather and unpin lines never issue decoded requests, so
         their (synthetic) addresses are masked out.  Cached per mapper —
         replaying the same finalized trace against the same memory

@@ -92,16 +92,12 @@ def _bench_result(args):
     hit_rate = serving["hit_rate"]
     rows = [
         ("generation", report["generation"]["accesses_per_sec"], ""),
-        ("replay precise", report["replay_before_precise"]["accesses_per_sec"], ""),
-        (
-            "replay batched",
-            report["replay_after_batched"]["accesses_per_sec"],
-            f"{report['speedup_batched_over_precise']}x vs precise",
-        ),
+        ("replay batched", report["replay_after_batched"]["accesses_per_sec"], ""),
         (
             "replay kernel",
             report["replay_after_kernel"]["accesses_per_sec"],
-            f"{report['speedup_kernel_over_precise']}x vs precise",
+            f"{report['replay_after_kernel']['kernel_eligible_queries']}"
+            f"/{report['equivalence']['checked_queries']} queries eligible",
         ),
         (
             "template serving",

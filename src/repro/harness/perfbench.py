@@ -1,23 +1,23 @@
 """Self-benchmarking harness for the vectorized trace pipeline.
 
-Measures, on the Figure 18 SQL workload, the three costs the
+Measures, on the Figure 18 SQL workload, the costs the
 structure-of-arrays trace pipeline targets:
 
 * **trace generation** — planner + executor producing
   :class:`~repro.cpu.tracebuffer.TraceBuffer` traces;
-* **replay, precise path** — ``Machine.run`` over ``List[Access]``
-  (the representation the per-access path consumes — the "before");
-* **replay, batched path** — ``Machine.run`` over the same traces as
-  ``TraceBuffer`` objects (the interpreted fast path);
-* **replay, kernel path** — the same buffers with
-  ``replay_mode="kernel"``, the compiled whole-trace replay core (the
-  "after").
+* **replay, batched path** — ``Machine.run`` over those buffers with
+  ``machine.replay_mode = "batched"``, the interpreted per-line loop
+  (the kernel's shipped fallback);
+* **replay, kernel path** — the same buffers under the default
+  ``"kernel"`` mode, the compiled whole-trace replay core.
 
-The replay paths are timed interleaved in the same process, so the
-reported speedups are insensitive to machine load, and every query's
-:class:`RunResult` is compared field-for-field between all three paths —
-the equivalence oracle.  A run aborts with nonzero mismatches rather
-than reporting a throughput for a replay that changed the simulation.
+The two replay paths are timed interleaved in the same process, so the
+reported rates are insensitive to machine load, and every query's
+:class:`RunResult` is compared field-for-field between them — the
+in-bench equivalence oracle (the per-access reference replay they both
+must match lives in the test suite, ``tests/test_replay_equivalence.py``).
+A run aborts with nonzero mismatches rather than reporting a throughput
+for a replay that changed the simulation.
 
 Two serving-path sections ride along: **template serving** repeats the
 suite through the plan/trace template cache (round 0 misses and stores;
@@ -92,19 +92,17 @@ def _generate(systems, qids, scale, sched_kwargs=None):
     return work, gen_seconds, n_accesses
 
 
-def _replay_round(work, traces, mode="batched"):
-    """Replay ``traces[i]`` on ``work[i]``'s machine under ``mode``;
-    returns ``(seconds, results)`` with cache/bank state reset outside
-    the timed region (reset cost is not replay cost).  ``mode`` only
-    matters for buffer traces — ``List[Access]`` always replays
-    precisely."""
+def _replay_round(work, mode="batched"):
+    """Replay every ``work`` buffer on its database's machine under
+    ``mode``; returns ``(seconds, results)`` with cache/bank state reset
+    outside the timed region (reset cost is not replay cost)."""
     seconds = 0.0
     results = []
-    for (db, _qid, _buffer), trace in zip(work, traces):
-        db.replay_mode = mode  # reset_timing copies this onto the machine
+    for db, _qid, buffer in work:
         db.reset_timing()
+        db.machine.replay_mode = mode
         start = time.perf_counter()
-        results.append(db.machine.run(trace))
+        results.append(db.machine.run(buffer))
         seconds += time.perf_counter() - start
     return seconds, results
 
@@ -327,7 +325,6 @@ def run_perfbench(scale=0.1, systems=FIGURE_SYSTEMS, qids=SQL_BENCHMARK_IDS,
 
     work, gen_seconds, n_accesses = _generate(systems, qids, scale, sched_kwargs)
     buffers = [buffer for _db, _qid, buffer in work]
-    access_lists = [list(buffer.to_accesses()) for buffer in buffers]
 
     kernel_eligible_queries = 0
     for (db, _qid, _buffer), buffer in zip(work, buffers):
@@ -335,31 +332,27 @@ def run_perfbench(scale=0.1, systems=FIGURE_SYSTEMS, qids=SQL_BENCHMARK_IDS,
         if kernel_eligible(db.machine, buffer.finalize()):
             kernel_eligible_queries += 1
 
-    # Warm all paths once (finalize caches, code paths JIT-warm in the
+    # Warm both paths once (finalize caches, code paths JIT-warm in the
     # bytecode-cache sense), then time interleaved rounds and keep the
     # best of each — the fair same-conditions comparison.
-    _replay_round(work, access_lists)
-    _replay_round(work, buffers, mode="batched")
-    _replay_round(work, buffers, mode="kernel")
-    precise_times, batched_times, kernel_times = [], [], []
-    precise_results = batched_results = kernel_results = None
+    _replay_round(work, "batched")
+    _replay_round(work, "kernel")
+    batched_times, kernel_times = [], []
+    batched_results = kernel_results = None
     for _ in range(rounds):
-        seconds, precise_results = _replay_round(work, access_lists)
-        precise_times.append(seconds)
-        seconds, batched_results = _replay_round(work, buffers, mode="batched")
+        seconds, batched_results = _replay_round(work, "batched")
         batched_times.append(seconds)
-        seconds, kernel_results = _replay_round(work, buffers, mode="kernel")
+        seconds, kernel_results = _replay_round(work, "kernel")
         kernel_times.append(seconds)
 
     mismatches = [
-        (work[i][0].memory.name, work[i][1])
-        for i, (precise, batched, kernel) in enumerate(
-            zip(precise_results, batched_results, kernel_results)
+        (db.memory.name, qid)
+        for (db, qid, _buffer), batched, kernel in zip(
+            work, batched_results, kernel_results
         )
-        if not (precise == batched == kernel)
+        if batched != kernel
     ]
 
-    precise_s = min(precise_times)
     batched_s = min(batched_times)
     kernel_s = min(kernel_times)
     peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -378,10 +371,6 @@ def run_perfbench(scale=0.1, systems=FIGURE_SYSTEMS, qids=SQL_BENCHMARK_IDS,
             "seconds": round(gen_seconds, 4),
             "accesses_per_sec": round(n_accesses / gen_seconds) if gen_seconds else None,
         },
-        "replay_before_precise": {
-            "seconds": round(precise_s, 4),
-            "accesses_per_sec": round(n_accesses / precise_s),
-        },
         "replay_after_batched": {
             "seconds": round(batched_s, 4),
             "accesses_per_sec": round(n_accesses / batched_s),
@@ -391,11 +380,9 @@ def run_perfbench(scale=0.1, systems=FIGURE_SYSTEMS, qids=SQL_BENCHMARK_IDS,
             "accesses_per_sec": round(n_accesses / kernel_s),
             "kernel_eligible_queries": kernel_eligible_queries,
         },
-        "speedup_batched_over_precise": round(precise_s / batched_s, 2),
-        "speedup_kernel_over_precise": round(precise_s / kernel_s, 2),
         "equivalence": {
             "checked_queries": len(work),
-            "modes": ["precise", "batched", "kernel"],
+            "modes": ["batched", "kernel"],
             "mismatches": len(mismatches),
             "mismatched": mismatches,
         },
@@ -584,21 +571,19 @@ def main(argv=None):
         serving_rounds=args.serving_rounds,
     )
     write_report(report, args.out)
-    before = report["replay_before_precise"]["accesses_per_sec"]
     after = report["replay_after_batched"]["accesses_per_sec"]
     kernel = report["replay_after_kernel"]["accesses_per_sec"]
     serving = report["template_serving"]
     rebind = report["rebind_microbench"]
     print(f"trace generation : {report['generation']['accesses_per_sec']} accesses/sec")
-    print(f"replay precise   : {before} accesses/sec")
-    print(f"replay batched   : {after} accesses/sec "
-          f"({report['speedup_batched_over_precise']}x)")
+    equivalence = report["equivalence"]
+    print(f"replay batched   : {after} accesses/sec")
     print(f"replay kernel    : {kernel} accesses/sec "
-          f"({report['speedup_kernel_over_precise']}x, "
-          f"{report['replay_after_kernel']['kernel_eligible_queries']}"
-          f"/{report['equivalence']['checked_queries']} queries eligible)")
-    print(f"equivalence      : {report['equivalence']['mismatches']} mismatches "
-          f"over {report['equivalence']['checked_queries']} queries x 3 modes")
+          f"({report['replay_after_kernel']['kernel_eligible_queries']}"
+          f"/{equivalence['checked_queries']} queries eligible)")
+    print(f"equivalence      : {equivalence['mismatches']} mismatches "
+          f"over {equivalence['checked_queries']} queries x "
+          f"{len(equivalence['modes'])} modes")
     hit_rate = serving["hit_rate"]
     print(f"template serving : {serving['statements_per_sec']} statements/sec, "
           f"hit rate {hit_rate:.1%}" if hit_rate is not None
@@ -625,8 +610,9 @@ def main(argv=None):
           f"{wp['writes_coalesced']} coalesced, "
           f"read p99 ratio {wp['read_p99_ratio']}")
     print(f"written to       : {args.out}")
-    if report["equivalence"]["mismatches"]:
-        print("FAIL: batched replay diverged from the precise path", file=sys.stderr)
+    if equivalence["mismatches"]:
+        print(f"FAIL: kernel replay diverged from batched replay on "
+              f"{equivalence['mismatched']}", file=sys.stderr)
         return 1
     if args.baseline:
         failures = check_regression(report, args.baseline, args.max_regression)

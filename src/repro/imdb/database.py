@@ -67,15 +67,9 @@ class Database:
         default_group_lines: int = 0,
         verify: bool = False,
         physmem: Optional[PhysicalMemory] = None,
-        replay_mode: str = "kernel",
         template_cache: bool = False,
     ):
         self.memory = memory
-        #: Replay engine for :meth:`execute`'s timing runs (one of
-        #: :data:`repro.cpu.machine.REPLAY_MODES`); :meth:`reset_timing`
-        #: copies it onto the :class:`Machine`.  The kernel falls back
-        #: to the batched loop for traces it cannot reproduce.
-        self.replay_mode = replay_mode
         #: Bumped by every DDL statement (table/index create and drop);
         #: the template cache keys entry validity on it.
         self.layout_epoch = 0
@@ -136,8 +130,7 @@ class Database:
         micro-architectural state, like a fresh simulator checkpoint.
         The cache stack and :class:`Machine` are built once and then
         cleared in place, so a reset costs what the last statement
-        touched; :attr:`window` and :attr:`replay_mode` are re-read on
-        every reset.
+        touched; :attr:`window` is re-read on every reset.
         """
         self.memory.reset()
         if self.machine is None:
@@ -146,16 +139,10 @@ class Database:
                 if self.memory.supports_column else None
             )
             self.hierarchy = make_hierarchy(synonym=synonym, **self.cache_config)
-            self.machine = Machine(
-                self.memory,
-                self.hierarchy,
-                window=self.window,
-                replay_mode=self.replay_mode,
-            )
+            self.machine = Machine(self.memory, self.hierarchy, window=self.window)
         else:
             self.hierarchy.reset()
             self.machine.window = self.window
-            self.machine.replay_mode = self.replay_mode
 
     # -- template cache ------------------------------------------------------------
     def enable_template_cache(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.core import isa
 from repro.core.addressing import Coordinate
 from repro.cpu.multicore import MulticoreMachine
+from repro.cpu.tracebuffer import TraceBuffer
 from repro.memsim.system import make_small_dram, make_small_rcnvm
 
 
@@ -41,11 +42,22 @@ class TestBasics:
             m.run([[], []])
 
     def test_per_core_results(self):
-        m, mem = machine(n_cores=2)
-        result = m.run([row_trace(mem, range(8)), row_trace(mem, range(8, 24))])
-        assert result.cores[0].accesses == 8
-        assert result.cores[1].accesses == 16
-        assert result.total_accesses == 24
+        # Every trace form run() accepts: Access lists, TraceBuffers and
+        # FinalizedTraces (the form serving feeds from cached templates).
+        for kind in ("list", "buffer", "finalized"):
+            m, mem = machine(n_cores=2)
+            traces = [row_trace(mem, range(8)), row_trace(mem, range(8, 24))]
+            if kind != "list":
+                buffers = []
+                for trace in traces:
+                    buffer = TraceBuffer()
+                    buffer.extend(trace)
+                    buffers.append(buffer.finalize() if kind == "finalized" else buffer)
+                traces = buffers
+            result = m.run(traces)
+            assert result.cores[0].accesses == 8, kind
+            assert result.cores[1].accesses == 16, kind
+            assert result.total_accesses == 24, kind
 
 
 class TestSharing:

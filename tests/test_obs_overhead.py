@@ -55,10 +55,10 @@ def _trial(work, buffers, rounds=ROUNDS):
     assert obs.active() is None
     disabled, enabled = [], []
     for _ in range(rounds):
-        seconds, _results = _replay_round(work, buffers)
+        seconds, _results = _replay_round(work)
         disabled.append(seconds)
         with obs.tracing():
-            seconds, _results = _replay_round(work, buffers)
+            seconds, _results = _replay_round(work)
         enabled.append(seconds)
     return min(disabled), min(enabled)
 
@@ -67,7 +67,7 @@ def _trial(work, buffers, rounds=ROUNDS):
 def test_disabled_tracing_overhead_under_two_percent(workload):
     work, buffers, n_accesses = workload
     assert n_accesses > 1000  # meaningful replay, not a toy trace
-    _replay_round(work, buffers)  # warm caches and code paths
+    _replay_round(work)  # warm caches and code paths
 
     best_overhead, best_disabled_s, observed = None, None, []
     for _ in range(TRIALS):
@@ -103,7 +103,7 @@ def test_enabled_tracing_span_count_is_per_run_constant(workload):
     controller.drain), independent of trace length."""
     work, buffers, _n_accesses = workload
     with obs.tracing() as tracer:
-        _seconds, _results = _replay_round(work, buffers)
+        _seconds, _results = _replay_round(work)
     assert len(tracer.roots) == len(buffers)
     for root in tracer.roots:
         assert [s.name for s in root.walk()] == ["machine.run", "controller.drain"]

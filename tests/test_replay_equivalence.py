@@ -1,31 +1,31 @@
-"""The equivalence oracle for the batched replay fast path.
+"""The equivalence oracle for the shipped replay engines.
 
-``Machine.run`` takes either a ``List[Access]`` (the precise per-access
-path) or a :class:`~repro.cpu.tracebuffer.TraceBuffer` (the batched
-structure-of-arrays path).  The batched path is only a performance
-optimization: on the same trace the two must produce *bit-for-bit*
-identical :class:`RunResult`\\ s — every counter, every cache/memory
-stats snapshot, every latency histogram bucket.  These tests enforce
-that on the SQL benchmark suite (scale from ``REPRO_BENCH_SCALE``,
-default 0.05) for every figure system, and on the multicore OLXP mix.
+``Machine.run`` replays every trace through the whole-trace kernel or,
+where the kernel cannot reproduce it, the batched per-line loop;
+``MulticoreMachine.run``/``run_segmented`` step finalized per-line
+arrays.  Both are performance engineering only: on the same trace they
+must produce *bit-for-bit* the :class:`RunResult` (every counter, every
+cache/memory stats snapshot, every latency histogram bucket) and the
+simulator end state of the per-access reference replay in
+``tests/reference_replay.py``.  These tests enforce that on every query
+of the SQL benchmark suite (scale from ``REPRO_BENCH_SCALE``, default
+0.05) for every figure system, and on the multicore OLXP mix.
 """
 
 import os
 
 import pytest
 
+from reference_replay import run_multicore_precise, run_precise
 from repro.harness.systems import build_system
-from repro.workloads.queries import QUERIES
+from repro.workloads.queries import QUERIES, SQL_BENCHMARK_IDS
 from repro.workloads.suite import build_benchmark_database
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 SYSTEMS = ("RC-NVM", "RRAM", "GS-DRAM", "DRAM")
-#: A cross-section of the suite: row scans, column scans, gathers,
-#: selective point lookups, and updates (writes + unpins).
-QIDS = ("Q1", "Q3", "Q4", "Q6", "Q10", "Q12")
 
 
-def _query_traces(db, qids=QIDS):
+def _query_traces(db, qids=SQL_BENCHMARK_IDS):
     for qid in qids:
         spec = QUERIES[qid]
         plan = db.plan(
@@ -35,28 +35,36 @@ def _query_traces(db, qids=QIDS):
         yield qid, buffer
 
 
-@pytest.mark.parametrize("system_name", SYSTEMS)
-def test_batched_replay_is_bit_for_bit(system_name):
-    memory = build_system(system_name)
-    db = build_benchmark_database(memory, scale=SCALE)
-    for qid, buffer in _query_traces(db):
-        accesses = list(buffer.to_accesses())
+@pytest.fixture(scope="module", params=SYSTEMS)
+def suite(request):
+    """``(system_name, db, [(qid, buffer), ...])`` for one figure system,
+    shared by the single-core tests below."""
+    db = build_benchmark_database(build_system(request.param), scale=SCALE)
+    return request.param, db, list(_query_traces(db))
+
+
+def test_batched_replay_is_bit_for_bit(suite):
+    """The batched loop against the per-access reference, on every suite
+    query: same ``RunResult`` and same simulator end state."""
+    system_name, db, traces = suite
+    db.machine.replay_mode = "batched"
+    for qid, buffer in traces:
         db.reset_timing()
-        precise = db.machine.run(accesses)
+        reference = run_precise(db.machine, buffer.to_accesses())
+        reference_state = _simulator_state(db)
         db.reset_timing()
         batched = db.machine.run(buffer)
-        assert precise == batched, (system_name, qid)
+        assert reference == batched, (system_name, qid)
+        assert reference_state == _simulator_state(db), (system_name, qid)
 
 
-@pytest.mark.parametrize("system_name", SYSTEMS)
-def test_kernel_replay_is_bit_for_bit(system_name):
-    """The compiled replay kernel is mode three of the same oracle: for
-    every suite query it must match the batched path (and thereby the
-    precise path) bit for bit — including the simulator end state it
-    leaves behind, which downstream reporting reads."""
-    memory = build_system(system_name)
-    db = build_benchmark_database(memory, scale=SCALE)
-    for qid, buffer in _query_traces(db):
+def test_kernel_replay_is_bit_for_bit(suite):
+    """The default engine (kernel, batched where it falls back) must match
+    the batched loop, and thereby the reference, bit for bit on every
+    suite query — including the simulator end state it leaves behind,
+    which downstream reporting reads."""
+    system_name, db, traces = suite
+    for qid, buffer in traces:
         db.reset_timing()
         db.machine.replay_mode = "batched"
         batched = db.machine.run(buffer)
@@ -70,17 +78,17 @@ def test_kernel_replay_is_bit_for_bit(system_name):
 
 
 def _simulator_state(db):
-    """Everything a replay leaves behind: cache contents in LRU order
-    with line flags, per-level stats, synonym counters, pending
-    writebacks, controller stats and bank state."""
+    """Everything a replay leaves behind: the contents of every non-empty
+    cache set in LRU order with line flags, per-level stats, synonym
+    counters, pending writebacks, controller stats and bank state."""
     hierarchy = db.machine.hierarchy
     state = []
     for level in hierarchy.levels:
         state.append(level.stats.snapshot())
         state.append([
-            [(key, line.dirty, line.pinned, line.crossing)
-             for key, line in cache_set.items()]
-            for cache_set in level.sets
+            (index, [(key, line.dirty, line.pinned, line.crossing)
+                     for key, line in cache_set.items()])
+            for index, cache_set in enumerate(level.sets) if cache_set
         ])
     state.append(list(hierarchy._counts))
     state.append(list(hierarchy.pending_writebacks))
@@ -100,20 +108,27 @@ def _simulator_state(db):
 
 @pytest.mark.parametrize("system_name", ("RC-NVM", "DRAM"))
 def test_multicore_batched_replay_is_bit_for_bit(system_name):
+    """``run`` (over buffers, finalized traces and plain ``Access``
+    lists) and ``run_segmented`` with one segment per core must match
+    the per-access reference heap driver."""
     from repro.cpu.multicore import MulticoreMachine
     from repro.harness.multicore import DEFAULT_CORE_MIX, build_core_traces
 
     memory = build_system(system_name)
     db = build_benchmark_database(memory, scale=SCALE)
     buffers = build_core_traces(db, DEFAULT_CORE_MIX)
-    lists = [list(buffer.to_accesses()) for buffer in buffers]
+    lists = [buffer.to_accesses() for buffer in buffers]
 
-    memory.reset()
-    machine = MulticoreMachine(memory, n_cores=len(buffers))
-    precise = machine.run(lists)
+    def fresh_machine():
+        memory.reset()
+        return MulticoreMachine(memory, n_cores=len(buffers))
 
-    memory.reset()
-    machine = MulticoreMachine(memory, n_cores=len(buffers))
-    batched = machine.run(buffers)
-
-    assert precise == batched, system_name
+    reference = run_multicore_precise(fresh_machine(), lists)
+    for traces in (buffers, [b.finalize() for b in buffers], lists):
+        assert fresh_machine().run(traces) == reference, system_name
+    segmented = fresh_machine().run_segmented(
+        [[(buffer, buffer.stream, core)] for core, buffer in enumerate(buffers)]
+    )
+    assert set(segmented.segment_ends) == set(range(len(buffers)))
+    segmented.segment_ends.clear()
+    assert segmented == reference, system_name

@@ -2,7 +2,7 @@
 
 Bit-for-bit equivalence against the batched path over the full SQL suite
 lives in ``tests/test_replay_equivalence.py``; these tests pin the
-supporting machinery — mode selection, the eligibility gate's fallback
+supporting machinery — the replay-mode hook, the eligibility gate's fallback
 decisions, and the end-state reconstruction on a small system.
 """
 
@@ -19,6 +19,7 @@ from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import ConfigurationError
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.imdb.database import Database
+from repro.obs import tracer as obs
 
 
 def _small_db(system="RC-NVM", rows=32):
@@ -49,40 +50,51 @@ def _read_trace(db, sql="SELECT SUM(f2) FROM t WHERE f1 > x"):
 
 class TestModeSelection:
     def test_replay_modes_constant(self):
-        assert REPLAY_MODES == ("precise", "batched", "kernel")
+        assert REPLAY_MODES == ("batched", "kernel")
 
     def test_invalid_mode_raises(self):
         db = _small_db()
-        with pytest.raises(ValueError):
-            Machine(db.memory, db.hierarchy, replay_mode="vectorized")
+        machine = Machine(db.memory, db.hierarchy)
+        assert machine.replay_mode == "kernel"  # the default
+        for mode in ("vectorized", "precise"):
+            with pytest.raises(ValueError):
+                machine.replay_mode = mode
+            assert machine.replay_mode == "kernel"
 
     def test_database_threads_mode_through_reset_timing(self):
-        memory = build_system("DRAM", small=True)
-        db = Database(memory, cache_config=SMALL_CACHE_CONFIG)
+        db = _small_db("DRAM")
         assert db.machine.replay_mode == "kernel"  # the default
-        db.reset_timing()
-        assert db.machine.replay_mode == "kernel"
-        db.replay_mode = "batched"
-        db.reset_timing()  # reuses the machine, re-reads the mode
+        db.machine.replay_mode = "batched"
+        db.reset_timing()  # reuses the machine and leaves its mode alone
+        assert db.machine.replay_mode == "batched"
+        with obs.tracing():
+            spans = db.execute("SELECT SUM(f2) FROM t").timing.spans
+        run = next(c for c in spans["children"] if c["name"] == "machine.run")
+        assert run["metrics"]["replay"] == "batched"
         assert db.machine.replay_mode == "batched"
 
     def test_invalid_mode_raises_on_reused_machine(self):
         db = _small_db()
-        db.replay_mode = "vectorized"
-        with pytest.raises(ValueError):
-            db.reset_timing()
+        machine = db.machine
+        db.reset_timing()
+        assert db.machine is machine
         with pytest.raises(ValueError):
             db.machine.replay_mode = "vectorized"
+        assert db.machine.replay_mode == "kernel"
 
-    def test_precise_mode_never_batches(self):
+    def test_database_takes_no_replay_mode(self):
+        with pytest.raises(TypeError):
+            Database(build_system("DRAM", small=True), replay_mode="kernel")
+
+    def test_access_list_replays_like_its_buffer(self):
+        """A plain ``Access`` list is converted at ``Machine.run``'s
+        boundary and replays exactly like the buffer it came from."""
         db = _small_db()
-        db.replay_mode = "precise"
-        db.reset_timing()
         buffer = _read_trace(db)
-        precise = db.machine.run(buffer)
-        db.replay_mode = "kernel"
         db.reset_timing()
-        assert db.machine.run(buffer) == precise
+        expected = db.machine.run(buffer)
+        db.reset_timing()
+        assert db.machine.run(buffer.to_accesses()) == expected
 
 
 class TestEligibility:
@@ -174,7 +186,6 @@ class TestEndState:
     def test_repeat_replay_reuses_memoized_columns(self):
         db = _small_db()
         fin = _read_trace(db).finalize()
-        db.replay_mode = "kernel"
         db.reset_timing()
         first = db.machine.run(fin)
         assert "static" in fin._kernel_cache

@@ -314,8 +314,8 @@ class TestTemplateCacheMultiTenant:
 class TestKernelGateMultiTenant:
     def _db(self, replay_mode="batched"):
         memory = build_system("RC-NVM", small=True)
-        db = Database(memory, cache_config=SMALL_CACHE_CONFIG,
-                      replay_mode=replay_mode)
+        db = Database(memory, cache_config=SMALL_CACHE_CONFIG)
+        db.machine.replay_mode = replay_mode
         db.create_table("t", [("f1", 8), ("f2", 8)], layout="row")
         db.insert_many("t", [(i, i * 3) for i in range(32)])
         return db

@@ -40,13 +40,12 @@ def _execute(db, qid, **kwargs):
 @pytest.mark.parametrize("system_name", SYSTEMS)
 def test_reused_timing_state_matches_fresh_database(system_name, mode):
     reused = build_benchmark_database(build_system(system_name), scale=SCALE)
-    reused.replay_mode = mode
+    reused.machine.replay_mode = mode  # survives every reset
     _execute(reused, CHAIN[0])
     for position, qid in enumerate(CHAIN[1:], start=1):
         timing = _execute(reused, qid).timing
         fresh = build_benchmark_database(build_system(system_name), scale=SCALE)
-        fresh.replay_mode = mode
-        fresh.reset_timing()
+        fresh.machine.replay_mode = mode
         for earlier in CHAIN[:position]:
             # Same data as the reused database (UPDATEs change it), but
             # the timing state is never touched.

@@ -206,7 +206,7 @@ class TestDecodeCaching:
             lambda self, *a, **kw: calls.append(1) or original(self, *a, **kw),
         )
         for mode in ("batched", "kernel", "batched"):
-            db.replay_mode = mode
+            db.machine.replay_mode = mode
             db.reset_timing()
             db.machine.run(fin)
         assert len(calls) == 1
