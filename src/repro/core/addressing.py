@@ -141,6 +141,56 @@ class AddressMapper:
     def encode_col(self, coord: Coordinate) -> int:
         return self.encode(coord, Orientation.COLUMN)
 
+    def encode_fields(self, channel, rank, bank, subarray, row, col,
+                      orientation: Orientation):
+        """Vectorized :meth:`encode` of word-aligned coordinates.
+
+        The six fields are ints or int arrays, broadcast against each
+        other; returns the int64 addresses in ``orientation``'s space —
+        the array counterpart of :meth:`encode` (and the inverse of
+        :meth:`decode_fields`) used by the executor's scan generators.
+        Every field is range-checked like :meth:`_check`: the first
+        element with an out-of-range field raises the same
+        :class:`AddressError` the scalar walk would have raised on it.
+        """
+        g = self.geometry
+        limits = (
+            ("channel", g.channels),
+            ("rank", g.ranks),
+            ("bank", g.banks),
+            ("subarray", g.subarrays),
+            ("row", g.rows),
+            ("col", g.cols),
+        )
+        # Scalar fields stay 0-d (no per-element copies); they broadcast
+        # against the row/col arrays only in the final combine.
+        values = [np.asarray(value, dtype=np.int64)
+                  for value in (channel, rank, bank, subarray, row, col)]
+        bad = [(value < 0) | (value >= limit)
+               for value, (_name, limit) in zip(values, limits)]
+        if any(mask.any() for mask in bad):
+            shape = np.broadcast_shapes(*(value.shape for value in values))
+            any_bad = np.zeros(shape, dtype=bool)
+            for mask in bad:
+                any_bad |= mask
+            first = int(np.argmax(any_bad.ravel()))
+            for value, mask, (name, limit) in zip(values, bad, limits):
+                if np.broadcast_to(mask, shape).ravel()[first]:
+                    value = int(np.broadcast_to(value, shape).ravel()[first])
+                    raise AddressError(f"{name}={value} out of range [0, {limit})")
+        channel, rank, bank, subarray, row, col = values
+        common = (
+            (channel << self._chan_shift)
+            | (rank << self._rank_shift)
+            | (bank << self._bank_shift)
+            | (subarray << self._sub_shift)
+        )
+        if orientation is Orientation.ROW:
+            return common | (row << self._ro_row_shift) | (col << self._ro_col_shift)
+        if orientation is Orientation.COLUMN:
+            return common | (col << self._co_col_shift) | (row << self._co_row_shift)
+        raise AddressError("gathered addresses are synthesized by the GS-DRAM model")
+
     # -- decoding --------------------------------------------------------
     def decode(self, address: int, orientation: Orientation) -> Coordinate:
         """Decode an address from the given address space."""

@@ -52,7 +52,10 @@ _READ_TO_WRITE = np.arange(len(Op), dtype=np.uint8)
 _READ_TO_WRITE[int(Op.READ)] = int(Op.WRITE)
 _READ_TO_WRITE[int(Op.CREAD)] = int(Op.CWRITE)
 
+_DEFAULT_ORIENT_CODES = np.asarray(_DEFAULT_ORIENT, dtype=np.uint8)
+
 _FLUSH_THRESHOLD = 8192
+_COLUMNS = ("_op", "_address", "_size", "_gap", "_flags", "_orient")
 
 
 class TraceBuffer:
@@ -136,38 +139,52 @@ class TraceBuffer:
 
     def extend_bulk(self, op, addresses, sizes, gaps, orientation=None,
                     barrier=False, pin=False):
-        """Vectorized append of many same-op accesses at once.
+        """Vectorized append of many accesses at once.
 
-        ``addresses``, ``sizes`` and ``gaps`` are broadcast against each
-        other; ``op`` is a single op code applied to the whole block.
-        This is the fast path scans use: one call per device run batch
-        instead of one ``Access`` per run.
+        ``op`` (one op code or an array of them), ``addresses``,
+        ``sizes`` and ``gaps`` are broadcast against each other; the
+        orientation defaults to each op's own.  This is the fast path
+        scans use: one call per array block instead of one ``Access``
+        per cell or run.
         """
         self._flush()
         addresses = np.asarray(addresses, dtype=np.int64)
         count = addresses.shape[0]
         if count == 0:
             return
+        block_op = np.broadcast_to(np.asarray(op, dtype=np.uint8), (count,))
         if orientation is None:
-            orientation = _DEFAULT_ORIENT[int(op)]
-        block_op = np.full(count, int(op), dtype=np.uint8)
+            block_orient = _DEFAULT_ORIENT_CODES[block_op]
+        else:
+            block_orient = np.full(count, int(orientation), dtype=np.uint8)
         block_size = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (count,))
         block_gap = np.broadcast_to(np.asarray(gaps, dtype=np.int64), (count,))
         flags = (FLAG_BARRIER if barrier else 0) | (FLAG_PIN if pin else 0)
-        block_flags = np.full(count, flags, dtype=np.uint8)
-        block_orient = np.full(count, int(orientation), dtype=np.uint8)
         self._append_arrays(
-            block_op, addresses, block_size, block_gap, block_flags, block_orient
+            block_op, addresses, block_size, block_gap, flags, block_orient
         )
 
     def _append_arrays(self, op, address, size, gap, flags, orient):
-        self._op = np.concatenate((self._op[: self._n], op))
-        self._address = np.concatenate((self._address[: self._n], address))
-        self._size = np.concatenate((self._size[: self._n], size))
-        self._gap = np.concatenate((self._gap[: self._n], gap))
-        self._flags = np.concatenate((self._flags[: self._n], flags))
-        self._orient = np.concatenate((self._orient[: self._n], orient))
-        self._n = self._op.shape[0]
+        """Copy one block into the columns, growing them by capacity
+        doubling so a buffer built from many blocks costs amortized
+        O(total) rather than one full re-copy per block.  Only the first
+        ``_n`` entries are ever read (:meth:`columns` slices)."""
+        n = self._n
+        end = n + len(op)
+        if end > self._op.shape[0]:
+            capacity = max(end, 2 * self._op.shape[0])
+            for name in _COLUMNS:
+                old = getattr(self, name)
+                grown = np.empty(capacity, dtype=old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        self._op[n:end] = op
+        self._address[n:end] = address
+        self._size[n:end] = size
+        self._gap[n:end] = gap
+        self._flags[n:end] = flags
+        self._orient[n:end] = orient
+        self._n = end
         self._finalized = None
 
     def _flush(self):

@@ -47,7 +47,7 @@ experiment of ``rcnvm-experiments`` (``--bench-out``).
 
 A committed baseline (``benchmarks/bench_baseline.json``) plus
 ``--baseline/--max-regression`` turn the harness into a CI smoke gate
-on batched-replay accesses/sec.
+on replay and trace-generation accesses/sec.
 """
 
 import argparse
@@ -401,12 +401,13 @@ def run_perfbench(scale=0.1, systems=FIGURE_SYSTEMS, qids=SQL_BENCHMARK_IDS,
 
 
 def check_regression(report, baseline_path, max_regression=0.25):
-    """Compare replay accesses/sec against a committed baseline.
+    """Compare pipeline accesses/sec against a committed baseline.
 
-    Gates both the batched and (when the baseline records it) the kernel
-    path with the same fractional fence, plus the template-serving hit
-    rate.  Returns a list of failure strings (empty = pass).  A report
-    that failed its own equivalence oracle always fails the gate.
+    Gates batched replay and (when the baseline records them) kernel
+    replay and trace generation with the same fractional fence, plus the
+    template-serving hit rate.  Returns a list of failure strings
+    (empty = pass).  A report that failed its own equivalence oracle
+    always fails the gate.
     """
     failures = []
     if report["equivalence"]["mismatches"]:
@@ -440,9 +441,11 @@ def check_regression(report, baseline_path, max_regression=0.25):
             "`python -m repro.harness.perfbench`"
         )
         return failures
-    # Older baselines predate the kernel path; gate only what they record.
-    for key, label in (("replay_after_batched", "batched"),
-                       ("replay_after_kernel", "kernel")):
+    # Older baselines predate the kernel path and the generation floor;
+    # gate only what they record.
+    for key, label in (("replay_after_batched", "batched replay"),
+                       ("replay_after_kernel", "kernel replay"),
+                       ("generation", "trace generation")):
         section = baseline.get(key)
         if section is None:
             continue
@@ -457,7 +460,7 @@ def check_regression(report, baseline_path, max_regression=0.25):
         measured = report[key]["accesses_per_sec"]
         if measured < floor:
             failures.append(
-                f"{label} replay regressed: {measured} accesses/sec < "
+                f"{label} regressed: {measured} accesses/sec < "
                 f"{floor:.0f} (baseline {base_rate} - {max_regression:.0%})"
             )
     ceiling = (baseline.get("rebind_microbench") or {}).get(

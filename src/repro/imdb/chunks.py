@@ -21,6 +21,8 @@ RC-NVM because both access directions are first-class.
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import LayoutError
 from repro.imdb.binpack import Placement
 
@@ -82,8 +84,7 @@ class Chunk:
         """Chunk-relative (row, col) of word ``word`` of local tuple ``index``."""
         if not 0 <= index < self.n_tuples:
             raise LayoutError(f"tuple {index} outside chunk of {self.n_tuples}")
-        if not 0 <= word < self.tuple_words:
-            raise LayoutError(f"word {word} outside tuple of {self.tuple_words}")
+        self._check_word(word)
         if self.layout is IntraLayout.ROW:
             row = index // self.slots
             col = (index % self.slots) * self.tuple_words + word
@@ -209,26 +210,47 @@ class Chunk:
             tuple_stride=0,
         )
 
-    def row_cells(self, chunk_row, offset_word):
-        """Device cells holding ``offset_word`` of each tuple stored in
-        chunk row ``chunk_row`` — the unit of row-major (DRAM-friendly)
-        field scans.  Yields ``(subarray, device_row, device_col,
-        global_tuple)`` in slot order."""
+    def local_cells(self, indices, word):
+        """Vectorized :meth:`local_cell`: chunk-relative ``(rows, cols)``
+        int64 arrays of word ``word`` of each local tuple in ``indices``."""
+        self._check_word(word)
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_tuples):
+            bad = indices[(indices < 0) | (indices >= self.n_tuples)]
+            raise LayoutError(f"tuple {int(bad[0])} outside chunk of {self.n_tuples}")
         if self.layout is IntraLayout.ROW:
-            base = chunk_row * self.slots
-            slots_here = min(self.slots, self.n_tuples - base)
-            for slot in range(slots_here):
-                row, col = self.local_cell(base + slot, offset_word)
-                sub, device_row, device_col = self.device_cell(row, col)
-                yield sub, device_row, device_col, self.first_tuple + base + slot
+            slot, row = indices % self.slots, indices // self.slots
         else:
-            for group in range(self.used_groups()):
-                local = group * self.height + chunk_row
-                if local >= self.n_tuples or chunk_row >= self.height:
-                    continue
-                row, col = self.local_cell(local, offset_word)
-                sub, device_row, device_col = self.device_cell(row, col)
-                yield sub, device_row, device_col, self.first_tuple + local
+            slot, row = indices // self.height, indices % self.height
+        return row, slot * self.tuple_words + word
+
+    def row_major_cells(self, offset_words):
+        """Device cells holding the given field words of every tuple, in
+        row-major (DRAM-friendly) scan order: chunk row by chunk row,
+        within a row each offset in the given order, within an offset
+        slot by slot (ROW layout) or group by group (COLUMN layout).
+
+        The array counterpart of :meth:`device_cell` over the walk:
+        returns ``(subarray, device_rows, device_cols)`` with int64
+        row/col arrays (every cell lies in the chunk's one subarray)."""
+        for word in offset_words:
+            self._check_word(word)
+        chunk_row = np.arange(self.used_rows(), dtype=np.int64)[:, None, None]
+        offsets = np.asarray(offset_words, dtype=np.int64)[None, :, None]
+        slot = np.arange(self.used_groups(), dtype=np.int64)[None, None, :]
+        if self.layout is IntraLayout.ROW:
+            present = chunk_row * self.slots + slot < self.n_tuples
+        else:
+            present = slot * self.height + chunk_row < self.n_tuples
+        shape = (chunk_row.shape[0], offsets.shape[1], slot.shape[2])
+        present = np.broadcast_to(present, shape)
+        rows = np.broadcast_to(chunk_row, shape)[present]
+        cols = np.broadcast_to(slot * self.tuple_words + offsets, shape)[present]
+        return self.device_cell(rows, cols)
+
+    def _check_word(self, word):
+        if not 0 <= word < self.tuple_words:
+            raise LayoutError(f"word {word} outside tuple of {self.tuple_words}")
 
     def __repr__(self):
         return (

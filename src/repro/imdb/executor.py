@@ -14,7 +14,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.addressing import Coordinate, Orientation
-from repro.core import isa
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import LayoutError, SqlError
@@ -115,22 +114,11 @@ class Executor:
         size = run.count * WORD_BYTES
         if gap is None:
             gap = max(1, run.count // WORDS_PER_LINE)
-        if isinstance(trace, TraceBuffer):
-            if orientation is Orientation.COLUMN:
-                op = Op.CWRITE if write else Op.CREAD
-            else:
-                op = Op.WRITE if write else Op.READ
-            trace.emit(int(op), address, size, gap, pin=pin and not write)
-        elif orientation is Orientation.COLUMN:
-            trace.append(
-                isa.cstore(address, size, gap) if write
-                else isa.cload(address, size, gap, pin=pin)
-            )
+        if orientation is Orientation.COLUMN:
+            op = Op.CWRITE if write else Op.CREAD
         else:
-            trace.append(
-                isa.store(address, size, gap) if write
-                else isa.load(address, size, gap, pin=pin)
-            )
+            op = Op.WRITE if write else Op.READ
+        trace.emit(int(op), address, size, gap, pin=pin and not write)
         return address, size, orientation
 
     def _read_run_values(self, run):
@@ -144,10 +132,12 @@ class Executor:
             return physmem.read_vertical(run.subarray, run.fixed, run.start, run.count)
         return physmem.read_horizontal(run.subarray, run.fixed, run.start, run.count)
 
-    def _cell_row_address(self, subarray, device_row, device_col):
+    def _cell_addresses(self, subarray, device_rows, device_cols, orientation):
+        """Addresses of many cells of one subarray (int64 array)."""
         channel, rank, bank, sub = self._sub_coord(subarray)
-        coord = Coordinate(channel, rank, bank, sub, device_row, device_col)
-        return self.mapper.encode_row(coord)
+        return self.mapper.encode_fields(
+            channel, rank, bank, sub, device_rows, device_cols, orientation
+        )
 
     # -- scans ----------------------------------------------------------------
     def scan_field(self, trace, table, field_name, method, word=0):
@@ -173,29 +163,26 @@ class Executor:
         """Row-oriented scan touching the lines that hold the given field
         words, walking memory rows sequentially (DRAM-friendly order)."""
         offsets = sorted(table.field_offset(f, w) for f, w in field_words)
-        emit = trace.emit if isinstance(trace, TraceBuffer) else None
-        last_line = None
-        for chunk in table.chunks:
-            for chunk_row in range(chunk.used_rows()):
-                for offset in offsets:
-                    for sub, device_row, device_col, _tuple in chunk.row_cells(
-                        chunk_row, offset
-                    ):
-                        address = self._cell_row_address(sub, device_row, device_col)
-                        line = address // CACHE_LINE_BYTES
-                        if line != last_line:
-                            if emit is not None:
-                                emit(0, address, WORD_BYTES, 1)  # Op.READ
-                            else:
-                                trace.append(isa.load(address, WORD_BYTES, gap=1))
-                            last_line = line
+        blocks = [
+            self._cell_addresses(*chunk.row_major_cells(offsets), Orientation.ROW)
+            for chunk in table.chunks
+        ]
+        if not blocks:
+            return
+        addresses = np.concatenate(blocks)
+        # One access per run of consecutive cells sharing a line — across
+        # chunk boundaries too (a scan entering a new chunk on the line it
+        # just read does not re-read it).
+        lines = addresses // CACHE_LINE_BYTES
+        first_touch = np.ones(len(addresses), dtype=bool)
+        first_touch[1:] = lines[1:] != lines[:-1]
+        trace.extend_bulk(int(Op.READ), addresses[first_touch], WORD_BYTES, 1)
 
     def _emit_gather_scan(self, trace, table, field_name, word):
         """GS-DRAM gathered scan: one burst collects the field word of 8
         consecutive tuples sharing a DRAM row (power-of-two stride)."""
         offset = table.field_offset(field_name, word)
         base = self._gather_base(table.name, offset)
-        buffered = isinstance(trace, TraceBuffer)
         gather_index = 0
         for chunk in table.chunks:
             if chunk.layout is not IntraLayout.ROW or chunk.placement.rotated:
@@ -214,23 +201,21 @@ class Executor:
                     channel, rank, bank, sa = self._sub_coord(sub)
                     coord = Coordinate(channel, rank, bank, sa, device_row, device_col)
                     gather_address = base + gather_index * CACHE_LINE_BYTES
-                    if buffered:
-                        trace.emit(
-                            int(Op.GATHER), gather_address, CACHE_LINE_BYTES, 1,
-                            coord=coord,
-                        )
-                    else:
-                        trace.append(isa.gather_load(gather_address, coord))
+                    trace.emit(
+                        int(Op.GATHER), gather_address, CACHE_LINE_BYTES, 1,
+                        coord=coord,
+                    )
                     gather_index += 1
-                for extra in range(rest):
-                    local = first_local + full_groups * 8 + extra
-                    row, col = chunk.local_cell(local, offset)
-                    sub, device_row, device_col = chunk.device_cell(row, col)
-                    address = self._cell_row_address(sub, device_row, device_col)
-                    if buffered:
-                        trace.emit(int(Op.READ), address, WORD_BYTES, 1)
-                    else:
-                        trace.append(isa.load(address, WORD_BYTES, gap=1))
+                if rest:
+                    # The row's tail tuples, too few to gather: one
+                    # row read each.
+                    rows, cols = chunk.local_cells(
+                        np.arange(here - rest, here) + first_local, offset
+                    )
+                    address = self._cell_addresses(
+                        *chunk.device_cell(rows, cols), Orientation.ROW
+                    )
+                    trace.extend_bulk(int(Op.READ), address, WORD_BYTES, 1)
 
     def _gather_base(self, table_name, offset):
         key = (table_name, offset)
@@ -384,30 +369,41 @@ class Executor:
         for name in fields:
             for word in range(table.schema.field(name).words):
                 offsets.append(table.field_offset(name, word))
+        chunk_ids = []
+        for chunk in table.chunks:
+            first = chunk.first_tuple
+            chunk_ids.append(
+                (chunk, ids[(ids >= first) & (ids < first + chunk.n_tuples)] - first)
+            )
+        ops, addresses, sizes = [], [], []
         for offset in offsets:
-            for chunk in table.chunks:
-                first = chunk.first_tuple
-                local_ids = ids[(ids >= first) & (ids < first + chunk.n_tuples)] - first
-                lines = set()
-                for local in local_ids:
-                    row, col = chunk.local_cell(int(local), offset)
-                    lines.add((col, row & ~(WORDS_PER_LINE - 1)))
-                # Walk column by column so every open column buffer is
-                # fully exploited before moving on.
-                for col, line_row in sorted(lines):
-                    count = min(WORDS_PER_LINE, chunk.height - line_row)
-                    sub, device_row, device_col = chunk.device_cell(line_row, col)
-                    vertical = not chunk.placement.rotated
-                    run = Run(
-                        subarray=sub,
-                        vertical=vertical,
-                        fixed=device_col if vertical else device_row,
-                        start=device_row if vertical else device_col,
-                        count=count,
-                        first_tuple=0,
-                        tuple_stride=0,
-                    )
-                    self.emit_run(trace, run, write=write, gap=1)
+            for chunk, local_ids in chunk_ids:
+                rows, cols = chunk.local_cells(local_ids, offset)
+                # The distinct (col, line_row) column lines holding
+                # matches, sorted column by column so every open column
+                # buffer is fully exploited before moving on.
+                keys = np.unique(cols * chunk.height + (rows & ~(WORDS_PER_LINE - 1)))
+                cols, line_rows = np.divmod(keys, chunk.height)
+                sub, device_rows, device_cols = chunk.device_cell(line_rows, cols)
+                # A rotated chunk's column lines run along device rows.
+                if chunk.placement.rotated:
+                    orientation = Orientation.ROW
+                    op = Op.WRITE if write else Op.READ
+                else:
+                    orientation = Orientation.COLUMN
+                    op = Op.CWRITE if write else Op.CREAD
+                addresses.append(self._cell_addresses(
+                    sub, device_rows, device_cols, orientation
+                ))
+                sizes.append(
+                    np.minimum(WORDS_PER_LINE, chunk.height - line_rows) * WORD_BYTES
+                )
+                ops.append(np.full(len(keys), int(op), dtype=np.uint8))
+        if addresses:
+            trace.extend_bulk(
+                np.concatenate(ops), np.concatenate(addresses),
+                np.concatenate(sizes), 1,
+            )
 
     def _rows_from_functional(self, table, mask, fields):
         ids = np.nonzero(mask)[0]
@@ -675,13 +671,10 @@ class Executor:
                     piece = _slice_run(run, start + line_start, 1)
                     self.emit_run(trace, piece, gap=1)
             for address, size, orientation in pinned:
-                if isinstance(trace, TraceBuffer):
-                    trace.emit(
-                        int(Op.UNPIN), address, size, gap=0,
-                        orientation=int(orientation),
-                    )
-                else:
-                    trace.append(isa.unpin(address, size, orientation))
+                trace.emit(
+                    int(Op.UNPIN), address, size, gap=0,
+                    orientation=int(orientation),
+                )
 
     def _emit_interleaved(self, trace, runs, count):
         """The naive ordered read: line-by-line across the columns."""
@@ -693,8 +686,6 @@ class Executor:
 
 def _slice_run(run, start, count):
     """A sub-run of ``run`` starting ``start`` cells in."""
-    from repro.imdb.chunks import Run
-
     return Run(
         subarray=run.subarray,
         vertical=run.vertical,

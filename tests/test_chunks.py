@@ -152,16 +152,66 @@ class TestTupleAndRowRuns:
         assert run.vertical and run.fixed == 2
         assert run.count == chunk.used_rows()
 
+    @staticmethod
+    def _row_major_cells_of_row(chunk, chunk_row, offsets):
+        _sub, rows, cols = chunk.row_major_cells(offsets)
+        here = rows == chunk_row  # unplaced origin (0, 0), unrotated
+        return list(zip(rows[here].tolist(), cols[here].tolist()))
+
+    @staticmethod
+    def _cells_of(chunk, tuples, word):
+        return [chunk.device_cell(*chunk.local_cell(t, word))[1:] for t in tuples]
+
     def test_row_cells_row_layout(self):
         chunk = make_chunk(IntraLayout.ROW, n=10)
-        cells = list(chunk.row_cells(2, 0))
         # Row 2 holds tuples 8, 9 only (10 tuples, 4 per row).
-        assert [c[3] for c in cells] == [8, 9]
+        assert self._row_major_cells_of_row(chunk, 2, [0]) == self._cells_of(
+            chunk, [8, 9], 0
+        )
 
     def test_row_cells_column_layout(self):
         chunk = make_chunk(IntraLayout.COLUMN, n=16)
-        cells = list(chunk.row_cells(3, 0))
-        assert [c[3] for c in cells] == [3, 11]
+        assert self._row_major_cells_of_row(chunk, 3, [0]) == self._cells_of(
+            chunk, [3, 11], 0
+        )
+
+    def test_row_major_cells_walk_order(self):
+        """Chunk row, then offset, then slot (ROW) / group (COLUMN)."""
+        chunk = make_chunk(IntraLayout.COLUMN, n=13)  # partial last group
+        _sub, rows, cols = chunk.row_major_cells([1, 0])
+        expected = []
+        for chunk_row in range(chunk.used_rows()):
+            tuples = [t for t in (chunk_row, chunk_row + 8) if t < 13]
+            expected += self._cells_of(chunk, tuples, 1)
+            expected += self._cells_of(chunk, tuples, 0)
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+    def test_row_major_cells_rotated(self):
+        chunk = make_chunk(IntraLayout.ROW, n=10, rotated=True, origin=(3, 5),
+                           subarray=2)
+        sub, rows, cols = chunk.row_major_cells([1])
+        assert sub == 2
+        assert list(zip(rows.tolist(), cols.tolist())) == self._cells_of(
+            chunk, range(10), 1
+        )
+
+    def test_row_major_cells_unplaced_and_bad_word(self):
+        chunk = Chunk(first_tuple=0, n_tuples=4, tuple_words=2,
+                      layout=IntraLayout.ROW, width=8, height=1)
+        with pytest.raises(LayoutError, match="not been placed"):
+            chunk.row_major_cells([0])
+        with pytest.raises(LayoutError, match="word 2 outside tuple"):
+            make_chunk(IntraLayout.ROW).row_major_cells([0, 2])
+
+    def test_local_cells_matches_local_cell(self):
+        for layout in IntraLayout:
+            chunk = make_chunk(layout, n=13)
+            rows, cols = chunk.local_cells(range(13), 1)
+            assert list(zip(rows.tolist(), cols.tolist())) == [
+                chunk.local_cell(t, 1) for t in range(13)
+            ]
+            with pytest.raises(LayoutError, match="tuple 13 outside chunk"):
+                chunk.local_cells([0, 13], 0)
 
 
 class TestSliceTable:

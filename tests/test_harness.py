@@ -161,6 +161,31 @@ class TestCheckRegression:
         assert any("hit rate" in f for f in failures)
         assert any("rebind regressed" in f for f in failures)
 
+    def test_generation_floor(self, tmp_path):
+        """A baseline recording a generation floor gates trace-generation
+        accesses/sec; a baseline without the section skips that gate."""
+        import json
+
+        from repro.harness.perfbench import check_regression
+
+        gated = tmp_path / "gated.json"
+        gated.write_text(json.dumps({
+            "replay_after_batched": {"accesses_per_sec": 1000},
+            "generation": {"accesses_per_sec": 2000},
+        }))
+        fast = {**self._report(), "generation": {"accesses_per_sec": 1600}}
+        slow = {**self._report(), "generation": {"accesses_per_sec": 1400}}
+        assert check_regression(fast, gated) == []
+        failures = check_regression(slow, gated)
+        assert len(failures) == 1
+        assert "trace generation regressed" in failures[0]
+
+        ungated = tmp_path / "ungated.json"
+        ungated.write_text(json.dumps({
+            "replay_after_batched": {"accesses_per_sec": 1000},
+        }))
+        assert check_regression(slow, ungated) == []
+
     def test_serving_fences(self, tmp_path):
         """A baseline that records serving fences gates fairness, the
         hit-rate delta vs global FIFO, and unexpected shedding."""

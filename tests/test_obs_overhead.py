@@ -5,7 +5,8 @@ context manager, exercised O(1) times per ``Machine.run`` — never per
 access.  This benchmark replays the same workload the committed CI
 baseline records (the Figure 18 SQL suite over all four systems, via
 ``repro.harness.perfbench``'s own generator) with tracing disabled and
-enabled, interleaved best-of-N in one process, and requires:
+enabled, interleaved best-of-N in one process (alternating which side
+runs first each round), and requires:
 
 * enabling tracing changes batched-replay accesses/sec by < 2% (the
   per-query span cost is constant, so over a thousands-of-accesses
@@ -50,28 +51,35 @@ def workload():
     return work, buffers, n_accesses
 
 
-def _trial(work, buffers, rounds=ROUNDS):
-    """One interleaved best-of trial; returns (disabled_s, enabled_s)."""
+def _trial(work, rounds=ROUNDS):
+    """One interleaved best-of trial; returns (disabled_s, enabled_s).
+
+    Which side runs first alternates round by round, so a drift in host
+    speed during a round (warm-up, a neighbour's load) lands on both
+    sides alike instead of always on the one that runs second."""
     assert obs.active() is None
     disabled, enabled = [], []
-    for _ in range(rounds):
-        seconds, _results = _replay_round(work)
-        disabled.append(seconds)
-        with obs.tracing():
-            seconds, _results = _replay_round(work)
-        enabled.append(seconds)
+    for round_index in range(rounds):
+        for traced in ((False, True) if round_index % 2 == 0 else (True, False)):
+            if traced:
+                with obs.tracing():
+                    seconds, _results = _replay_round(work)
+                enabled.append(seconds)
+            else:
+                seconds, _results = _replay_round(work)
+                disabled.append(seconds)
     return min(disabled), min(enabled)
 
 
 @pytest.mark.benchmark
 def test_disabled_tracing_overhead_under_two_percent(workload):
-    work, buffers, n_accesses = workload
+    work, _buffers, n_accesses = workload
     assert n_accesses > 1000  # meaningful replay, not a toy trace
     _replay_round(work)  # warm caches and code paths
 
     best_overhead, best_disabled_s, observed = None, None, []
     for _ in range(TRIALS):
-        disabled_s, enabled_s = _trial(work, buffers)
+        disabled_s, enabled_s = _trial(work)
         overhead = max(0.0, (enabled_s - disabled_s) / disabled_s)
         observed.append(f"{overhead:.1%} ({disabled_s:.4f}s/{enabled_s:.4f}s)")
         if best_disabled_s is None or disabled_s < best_disabled_s:

@@ -93,6 +93,55 @@ class TestBulkOperations:
         for a, b in zip(bulk, scalar):
             assert _same_access(a, b)
 
+    def test_extend_bulk_per_access_ops(self):
+        """An op array sets each access's op and default orientation."""
+        buffer = TraceBuffer()
+        ops = np.array([int(Op.CREAD), int(Op.READ), int(Op.CWRITE)], dtype=np.uint8)
+        buffer.extend_bulk(ops, [0x0, 0x40, 0x80], [64, 8, 16], 1)
+        assert [(a.op, a.orientation, a.size) for a in buffer] == [
+            (Op.CREAD, Orientation.COLUMN, 64),
+            (Op.READ, Orientation.ROW, 8),
+            (Op.CWRITE, Orientation.COLUMN, 16),
+        ]
+
+    def test_interleaved_appends_match_single_shot(self):
+        """Many small blocks through every append path (growing the
+        columns by capacity doubling many times over) give exactly the
+        columns, coords and finalized arrays of one single-shot build."""
+        rng = np.random.default_rng(7)
+        pieces, single = TraceBuffer(), TraceBuffer()
+        accesses = []
+        for round_ in range(40):
+            kind = round_ % 3
+            n = int(rng.integers(1, 300))
+            addresses = (rng.integers(0, 1 << 20, size=n) * 8).astype(np.int64)
+            if kind == 0:
+                for address in addresses.tolist():
+                    pieces.emit(int(Op.READ), address, 8, 2)
+                    accesses.append(Access(Op.READ, address, 8, 2))
+            elif kind == 1:
+                pieces.extend_bulk(int(Op.CWRITE), addresses, 16, 1)
+                accesses.extend(Access(Op.CWRITE, a, 16, 1) for a in addresses.tolist())
+            else:
+                other = TraceBuffer()
+                other.extend(_sample_accesses())
+                other.extend_bulk(int(Op.READ), addresses, 8, 3, pin=True)
+                pieces.extend(other)
+                accesses.extend(_sample_accesses())
+                accesses.extend(Access(Op.READ, a, 8, 3, pin=True)
+                                for a in addresses.tolist())
+        single.extend(accesses)
+        for got, want in zip(pieces.columns(), single.columns()):
+            np.testing.assert_array_equal(got, want)
+        assert pieces.coords == single.coords
+        got, want = pieces.finalize(), single.finalize()
+        for name in ("line_key", "line_gap", "line_special", "line_mask",
+                     "line_acc", "line_orient", "acc_starts", "acc_counts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.n_accesses, got.n_reads, got.n_writes, got.n_lines) == (
+            want.n_accesses, want.n_reads, want.n_writes, want.n_lines
+        )
+
     def test_reads_to_writes(self):
         buffer = TraceBuffer()
         buffer.emit(int(Op.READ), 0x0)
